@@ -7,26 +7,29 @@
 //! SC+PIL, recording **wall-clock** cost per cell (virtual results are
 //! deterministic; wall time is what limits how far a cell can go):
 //! events fired per wall second, peak tracked memory, and the engine's
-//! schedule/fire/pool counters.
+//! schedule/fire/pool counters. An SC+PIL cell is two runs — memoize,
+//! then replay — timed separately; its events-per-second is the
+//! replay's events over the replay's wall time alone. Every row records
+//! the host CPU count and git revision it was measured at.
 //!
 //! ```text
 //! cargo run --release -p scalecheck-bench --bin tbl_scale
 //! ```
 //!
-//! Writes `BENCH_scale.json` (schema `bench_scale/v1`) and
+//! Writes `BENCH_scale.json` (schema `bench_scale/v2`) and
 //! `TBL_scale.txt` in the working directory, and prints the table.
 //!
 //! Options:
-//! * `--scales 256,512,1024,2048` — cluster sizes (default; 4096-node
-//!   cells work too, but take on the order of an hour each on one
-//!   CPU, so they are opt-in);
+//! * `--scales 256,512,1024` — cluster sizes (default; 2048- and
+//!   4096-node cells work too, but a 2048-node cell passes 7.5 GB of
+//!   host memory, so they are opt-in);
 //! * `--seed 1` — simulation seed;
 //! * `--modes colo,scpil` — which execution modes to sweep (default
 //!   both);
 //! * `--json-out PATH` / `--table-out PATH` — artifact destinations;
 //! * `--no-write` — print only, write no artifact files;
 //! * `--smoke` — CI mode: run one 1024-node SC+PIL cell cache-free,
-//!   validate the `bench_scale/v1` schema on its row, and fail if the
+//!   validate the `bench_scale/v2` schema on its row, and fail if the
 //!   cell exceeds `--budget-secs` (default 600) of wall clock;
 //! * `--jobs N` / `--no-cache` — sweep worker/caching control.
 //!
@@ -37,27 +40,76 @@
 
 use std::time::Instant;
 
-use scalecheck::{CellSpec, ExecMode, COLO_CORES};
+use scalecheck::{memoize, replay, replay_ordered, CellSpec, ExecMode, COLO_CORES};
 use scalecheck_bench::{
-    exit_usage, flag_value, has_flag, parse_flag, parse_list_flag, run_sweep, Cell, SweepOptions,
+    exit_usage, flag_value, git_revision, has_flag, host_cpus, parse_flag, parse_list_flag,
+    run_sweep, Cell, SweepOptions,
 };
 use scalecheck_cluster::{RunReport, ScenarioConfig};
 use serde::{Deserialize, Serialize};
 
-const USAGE: &str = "usage: tbl_scale [--scales 256,512,1024,2048] [--seed N] \
+const USAGE: &str = "usage: tbl_scale [--scales 256,512,1024] [--seed N] \
 [--modes colo,scpil] [--json-out PATH] [--table-out PATH] [--no-write] \
 [--smoke] [--budget-secs N] [--jobs N] [--no-cache]";
 
 /// The schema tag committed artifacts carry.
-const SCHEMA: &str = "bench_scale/v1";
+const SCHEMA: &str = "bench_scale/v2";
 
 /// One executed cell: the deterministic report plus the wall-clock cost
-/// of producing it. Cached as a unit so warm-cache reruns keep the
-/// originally measured timings.
+/// of producing it and where it was measured. Cached as a unit so
+/// warm-cache reruns keep the originally measured timings and their
+/// provenance.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 struct TimedReport {
+    /// The whole cell (for SC+PIL: memoize plus replay).
     wall_secs: f64,
+    /// SC+PIL only: the memoize run.
+    memo_wall_secs: Option<f64>,
+    /// SC+PIL only: the replay run, which produced `report`.
+    replay_wall_secs: Option<f64>,
+    host_cpus: usize,
+    git_rev: String,
     report: RunReport,
+}
+
+impl TimedReport {
+    /// Runs `spec`, timing an SC+PIL cell's memoize and replay apart.
+    fn measure(spec: &CellSpec) -> Self {
+        let t0 = Instant::now();
+        let (report, memo_wall_secs, replay_wall_secs) = match spec.mode {
+            ExecMode::ScPil { cores, ordered } => {
+                let memo = memoize(&spec.config, cores);
+                let memo_secs = t0.elapsed().as_secs_f64();
+                let t1 = Instant::now();
+                let report = if ordered {
+                    replay_ordered(&spec.config, cores, &memo)
+                } else {
+                    replay(&spec.config, cores, &memo)
+                };
+                (report, Some(memo_secs), Some(t1.elapsed().as_secs_f64()))
+            }
+            _ => (spec.run(), None, None),
+        };
+        TimedReport {
+            wall_secs: t0.elapsed().as_secs_f64(),
+            memo_wall_secs,
+            replay_wall_secs,
+            host_cpus: host_cpus(),
+            git_rev: git_revision(),
+            report,
+        }
+    }
+
+    /// Events fired per wall second of the run that fired them: the
+    /// replay alone for SC+PIL, the whole cell otherwise.
+    fn events_per_sec(&self) -> f64 {
+        let secs = self.replay_wall_secs.unwrap_or(self.wall_secs);
+        if secs > 0.0 {
+            self.report.engine.fired as f64 / secs
+        } else {
+            0.0
+        }
+    }
 }
 
 /// The swept scenario: the baseline decommission run under the paper's
@@ -109,28 +161,23 @@ fn timed_cell(n: usize, seed: u64, mode: ExecMode) -> Cell<TimedReport> {
     let spec = CellSpec::new(scale_scenario(n, seed), mode);
     let key = serde_json::to_value(&(SCHEMA, &spec)).expect("cell key serializes");
     Cell::new(format!("scale N={n} {}", mode.label()), key, move || {
-        let t0 = Instant::now();
-        let report = spec.run();
-        TimedReport {
-            wall_secs: t0.elapsed().as_secs_f64(),
-            report,
-        }
+        TimedReport::measure(&spec)
     })
 }
 
-/// One `bench_scale/v1` row.
+/// One `bench_scale/v2` row. `memo_wall_secs` and `replay_wall_secs`
+/// are `null` on Colo rows, which are a single run.
 fn row_json(n: usize, mode_label: &str, t: &TimedReport) -> serde_json::Value {
     let r = &t.report;
-    let eps = if t.wall_secs > 0.0 {
-        r.engine.fired as f64 / t.wall_secs
-    } else {
-        0.0
-    };
     serde_json::json!({
         "nodes": n,
         "mode": mode_label,
         "wall_secs": t.wall_secs,
-        "events_per_sec": eps,
+        "memo_wall_secs": t.memo_wall_secs,
+        "replay_wall_secs": t.replay_wall_secs,
+        "events_per_sec": t.events_per_sec(),
+        "host_cpus": t.host_cpus,
+        "git_rev": t.git_rev,
         "virtual_secs": r.duration.as_secs_f64(),
         "events_scheduled": r.engine.scheduled,
         "events_fired": r.engine.fired,
@@ -145,7 +192,7 @@ fn row_json(n: usize, mode_label: &str, t: &TimedReport) -> serde_json::Value {
     })
 }
 
-/// Checks one row against the `bench_scale/v1` contract. Returns the
+/// Checks one row against the `bench_scale/v2` contract. Returns the
 /// first violation, if any.
 fn validate_row(row: &serde_json::Value) -> Result<(), String> {
     let u64_fields = [
@@ -159,6 +206,7 @@ fn validate_row(row: &serde_json::Value) -> Result<(), String> {
         "messages_sent",
         "messages_delivered",
         "total_flaps",
+        "host_cpus",
     ];
     for f in u64_fields {
         row.get(f)
@@ -174,9 +222,33 @@ fn validate_row(row: &serde_json::Value) -> Result<(), String> {
             return Err(format!("row field '{f}' must be finite and >= 0, got {v}"));
         }
     }
-    row.get("mode")
+    let mode = row
+        .get("mode")
         .and_then(|v| v.as_str())
         .ok_or("row missing string field 'mode'".to_string())?;
+    // SC+PIL rows time memoize and replay apart; Colo rows carry null.
+    let split = mode.starts_with("SC+PIL");
+    for f in ["memo_wall_secs", "replay_wall_secs"] {
+        let v = row.get(f);
+        let ok = if split {
+            v.and_then(|v| v.as_f64())
+                .is_some_and(|x| x.is_finite() && x >= 0.0)
+        } else {
+            matches!(v, Some(serde_json::Value::Null))
+        };
+        if !ok {
+            let want = if split {
+                "a finite number >= 0"
+            } else {
+                "null"
+            };
+            return Err(format!("{mode} row field '{f}' must be {want}"));
+        }
+    }
+    row.get("git_rev")
+        .and_then(|v| v.as_str())
+        .filter(|s| !s.is_empty())
+        .ok_or("row missing non-empty string field 'git_rev'".to_string())?;
     row.get("quiesced")
         .and_then(|v| v.as_bool())
         .ok_or("row missing bool field 'quiesced'".to_string())?;
@@ -220,12 +292,22 @@ fn render_table(seed: u64, rows: &[(usize, &'static str, TimedReport)]) -> Strin
     );
     let _ = writeln!(
         out,
-        "wall = host seconds for the cell; ev/s = engine events fired per wall second\n"
+        "wall = host seconds for the cell (SC+PIL: memo_s + replay_s)\n\
+ev/s = engine events fired per wall second of the run that fired them (SC+PIL: the replay)"
     );
+    let mut hosts: Vec<String> = rows
+        .iter()
+        .map(|(_, _, t)| format!("{} CPUs, rev {}", t.host_cpus, t.git_rev))
+        .collect();
+    hosts.dedup();
+    let _ = writeln!(out, "measured on {}\n", hosts.join("; "));
+    let secs = |v: Option<f64>| v.map_or("-".to_string(), |s| format!("{s:.2}"));
     let mut buf = vec![vec![
         "#Nodes".to_string(),
         "mode".to_string(),
         "wall_s".to_string(),
+        "memo_s".to_string(),
+        "replay_s".to_string(),
         "ev/s".to_string(),
         "fired".to_string(),
         "virt_s".to_string(),
@@ -234,16 +316,13 @@ fn render_table(seed: u64, rows: &[(usize, &'static str, TimedReport)]) -> Strin
     ]];
     for (n, label, t) in rows {
         let r = &t.report;
-        let eps = if t.wall_secs > 0.0 {
-            r.engine.fired as f64 / t.wall_secs
-        } else {
-            0.0
-        };
         buf.push(vec![
             n.to_string(),
             label.to_string(),
             format!("{:.2}", t.wall_secs),
-            format!("{eps:.0}"),
+            secs(t.memo_wall_secs),
+            secs(t.replay_wall_secs),
+            format!("{:.0}", t.events_per_sec()),
             r.engine.fired.to_string(),
             format!("{:.0}", r.duration.as_secs_f64()),
             format!("{:.1}", mib(r.mem_peak_bytes)),
@@ -267,12 +346,7 @@ fn smoke(seed: u64, budget_secs: f64) -> ! {
     };
     let spec = CellSpec::new(scale_scenario(n, seed), mode);
     eprintln!("[smoke] running N={n} {} ...", mode.label());
-    let t0 = Instant::now();
-    let report = spec.run();
-    let timed = TimedReport {
-        wall_secs: t0.elapsed().as_secs_f64(),
-        report,
-    };
+    let timed = TimedReport::measure(&spec);
     let doc = serde_json::json!({
         "schema": SCHEMA,
         "seed": seed,
@@ -283,12 +357,13 @@ fn smoke(seed: u64, budget_secs: f64) -> ! {
         eprintln!("[smoke] FAIL: schema violation: {e}");
         std::process::exit(1);
     }
-    let eps = timed.report.engine.fired as f64 / timed.wall_secs.max(1e-9);
     println!(
-        "smoke: N={n} {} wall={:.2}s events/s={:.0} fired={} quiesced={}",
+        "smoke: N={n} {} wall={:.2}s (memo {:.2}s, replay {:.2}s) events/s={:.0} fired={} quiesced={}",
         mode.label(),
         timed.wall_secs,
-        eps,
+        timed.memo_wall_secs.unwrap_or_default(),
+        timed.replay_wall_secs.unwrap_or_default(),
+        timed.events_per_sec(),
         timed.report.engine.fired,
         timed.report.quiesced,
     );
@@ -311,7 +386,7 @@ fn main() {
         .unwrap_or(1);
     let scales: Vec<usize> = parse_list_flag(&args, "--scales")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
-        .unwrap_or_else(|| vec![256, 512, 1024, 2048]);
+        .unwrap_or_else(|| vec![256, 512, 1024]);
     let json_out = flag_value(&args, "--json-out")
         .unwrap_or_else(|e| exit_usage(USAGE, &e))
         .unwrap_or_else(|| "BENCH_scale.json".to_string());

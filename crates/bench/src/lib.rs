@@ -119,6 +119,38 @@ pub fn has_flag(args: &[String], key: &str) -> bool {
     args.iter().any(|a| a == key)
 }
 
+/// Logical CPUs available to this process (0 when unknown): the host
+/// half of a wall-time measurement's provenance.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(0, |n| n.get())
+}
+
+/// The git revision of the working directory's checkout, suffixed
+/// `+dirty` when tracked files differ from it, or `unknown` outside a
+/// git checkout: the code half of a measurement's provenance.
+pub fn git_revision() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(rev) => {
+            let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+                .is_some_and(|s| !s.is_empty());
+            if dirty {
+                format!("{rev}+dirty")
+            } else {
+                rev
+            }
+        }
+        None => "unknown".to_string(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

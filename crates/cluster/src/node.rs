@@ -274,11 +274,9 @@ impl Node {
 
     /// Whether any join/leave is pending in this node's view (the
     /// window during which Cassandra recalculates on every applied
-    /// gossip).
+    /// gossip). O(1): the ring keeps its Joining/Leaving count.
     pub fn pending_window_open(&self) -> bool {
-        self.ring
-            .iter()
-            .any(|(_, st)| matches!(st.status, NodeStatus::Joining | NodeStatus::Leaving))
+        self.ring.transitional_count() > 0
     }
 
     /// Peers this node would gossip to: known, not Left in our view.
@@ -305,8 +303,8 @@ impl Node {
         self.gossiper
             .endpoints()
             .iter()
-            .filter(move |(&p, st)| p != me && st.app.status != NodeStatus::Left)
-            .map(|(&p, _)| crate::ringinfo::node_of(p))
+            .filter(move |(p, st)| *p != me && st.app.status != NodeStatus::Left)
+            .map(|(p, _)| crate::ringinfo::node_of(p))
     }
 
     /// Updates this node's own gossiped ring state (and its own ring

@@ -25,7 +25,7 @@ use scalecheck_gossip::Liveness;
 use scalecheck_memo::{OrderDecision, OrderEnforcer, OrderRecorder};
 use scalecheck_net::{Addr, Network};
 use scalecheck_obs::{Metric, SpanName, ENGINE_PID, TID_CALC, TID_GOSSIP, TID_REQUEST};
-use scalecheck_ring::{spread_tokens, NodeId, NodeStatus, PendingRanges, RingTable, Token};
+use scalecheck_ring::{spread_tokens, NodeId, NodeStatus, PendingRanges, Token};
 use scalecheck_sim::tie::tag;
 use scalecheck_sim::{
     Acquire, Ctx, CtxSwitchModel, Engine, EngineCounters, FaultEvent, FaultReport, FiredFault,
@@ -736,43 +736,43 @@ fn run_task(
             LockingMode::SnapshotThread => {
                 // Clone the ring under the lock (cheap), release early,
                 // compute off-lock from the snapshot — the C5456 fix.
+                // The calculation runs at the snapshot instant, so it
+                // reads the live ring: only the clone's virtual cost is
+                // modelled.
                 let clone_cost =
                     SimDuration::from_nanos(100 * (st.cfg.total_nodes() * st.cfg.vnodes) as u64);
                 let done_at = compute(st, now, i, clone_cost, StageKind::Calc, false);
                 ctx.schedule_at(done_at, move |st, ctx| {
-                    let snapshot = st.nodes[i].ring.clone();
                     if holds_lock {
                         release_ring_lock(st, ctx, i, StageKind::Calc);
                     }
-                    begin_calc_compute(st, ctx, i, stage, snapshot, false);
+                    begin_calc_compute(st, ctx, i, stage, false);
                 });
             }
             _ => {
                 // Coarse mode: compute while holding the lock.
-                let snapshot = st.nodes[i].ring.clone();
-                begin_calc_compute(st, ctx, i, stage, snapshot, holds_lock);
+                begin_calc_compute(st, ctx, i, stage, holds_lock);
             }
         },
     }
 }
 
-/// Starts the pending-range computation from `ring_view`; schedules its
-/// application.
+/// Starts the pending-range computation from node `i`'s current ring
+/// view; schedules its application. The calculation runs here,
+/// synchronously, so it reads the live ring in place.
 fn begin_calc_compute(
     st: &mut ClusterState,
     ctx: &mut Ctx<'_, ClusterState>,
     i: usize,
     stage: StageKind,
-    ring_view: RingTable,
     release_lock_after: bool,
 ) {
     let now = ctx.now();
-    let changes = changes_of(&ring_view);
-    let idx = st.nodes[i].calc_invocations;
-    st.nodes[i].calc_invocations += 1;
-    let (pending, duration, _source) =
-        st.calc
-            .calculate(st.nodes[i].id.0, idx, &ring_view, &changes);
+    let node = &mut st.nodes[i];
+    let changes = node.outstanding_changes();
+    let idx = node.calc_invocations;
+    node.calc_invocations += 1;
+    let (pending, duration, _source) = st.calc.calculate(node.id.0, idx, &node.ring, &changes);
     let done_at = compute(st, now, i, duration, StageKind::Calc, true);
     if scalecheck_obs::enabled() {
         let pil_mode = matches!(st.cfg.deployment, DeploymentMode::PilReplay { .. });
@@ -801,21 +801,6 @@ fn begin_calc_compute(
     ctx.schedule_at(done_at, move |st, ctx| {
         finish_calc(st, ctx, i, stage, pending, release_lock_after);
     });
-}
-
-fn changes_of(ring: &RingTable) -> Vec<scalecheck_ring::TopologyChange> {
-    let mut out = Vec::new();
-    for (id, ns) in ring.iter() {
-        match ns.status {
-            NodeStatus::Joining => out.push(scalecheck_ring::TopologyChange::Join {
-                node: id,
-                tokens: ns.tokens.clone(),
-            }),
-            NodeStatus::Leaving => out.push(scalecheck_ring::TopologyChange::Leave { node: id }),
-            _ => {}
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -897,19 +882,20 @@ fn finish_receive(
             let node = &mut st.nodes[i];
             let local_now = now + node.clock_skew;
             let view = node.apply_outcome(&outcome, local_now);
-            let window_open = node.pending_window_open();
-            // Walk the outcome's peer lists directly (post-apply, as
-            // before) instead of collecting them into a scratch Vec.
-            let touched_pending = outcome
-                .heartbeat_advanced
-                .iter()
-                .chain(outcome.app_advanced.iter())
-                .any(|p| {
-                    node.gossiper.endpoint(*p).is_some_and(|s| {
-                        matches!(s.app.status, NodeStatus::Joining | NodeStatus::Leaving)
+            // The touched-pending walk matters only inside a pending
+            // window, so it runs only after the O(1) window check.
+            let touched_pending = || {
+                outcome
+                    .heartbeat_advanced
+                    .iter()
+                    .chain(outcome.app_advanced.iter())
+                    .any(|p| {
+                        node.gossiper.endpoint(*p).is_some_and(|s| {
+                            matches!(s.app.status, NodeStatus::Joining | NodeStatus::Leaving)
+                        })
                     })
-                });
-            trigger = view.topology_changed || (window_open && touched_pending);
+            };
+            trigger = view.topology_changed || (node.pending_window_open() && touched_pending());
         }
     }
 
@@ -919,8 +905,7 @@ fn finish_receive(
                 // Cassandra's architecture: the calculation runs
                 // synchronously inside gossip application — the stage
                 // stays busy for the whole compute.
-                let snapshot = st.nodes[i].ring.clone();
-                begin_calc_compute(st, ctx, i, stage, snapshot, holds_lock);
+                begin_calc_compute(st, ctx, i, stage, holds_lock);
                 release_held(st, ctx, i);
                 return;
             }

@@ -6,11 +6,12 @@
 //! counts alive→dead transitions — the y-axis of every panel in
 //! Figure 3.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use scalecheck_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
+use crate::peermap::PeerMap;
 use crate::phi::PhiDetector;
 use crate::state::Peer;
 
@@ -26,8 +27,8 @@ pub enum Liveness {
 /// One peer's monitoring state: arrival statistics plus the current
 /// verdict. Keeping them in one map entry means the per-tick
 /// [`FailureDetector::interpret_all`] sweep — O(peers), every
-/// fd-interval, on every node — walks a single tree instead of probing
-/// a second verdict map per peer.
+/// fd-interval, on every node — walks a single dense table instead of
+/// probing a second verdict map per peer.
 #[derive(Clone, Debug)]
 struct PeerMonitor {
     det: PhiDetector,
@@ -39,7 +40,7 @@ struct PeerMonitor {
 pub struct FailureDetector {
     threshold: f64,
     gossip_interval: SimDuration,
-    monitors: BTreeMap<Peer, PeerMonitor>,
+    monitors: PeerMap<PeerMonitor>,
     flaps: u64,
     recoveries: u64,
     fault_suspects: BTreeSet<Peer>,
@@ -53,7 +54,7 @@ impl FailureDetector {
         FailureDetector {
             threshold,
             gossip_interval,
-            monitors: BTreeMap::new(),
+            monitors: PeerMap::new(),
             flaps: 0,
             recoveries: 0,
             fault_suspects: BTreeSet::new(),
@@ -65,7 +66,7 @@ impl FailureDetector {
     /// was convicted, it is marked alive again (a recovery).
     pub fn report(&mut self, peer: Peer, now: SimTime) {
         let interval = self.gossip_interval;
-        let mon = self.monitors.entry(peer).or_insert_with(|| PeerMonitor {
+        let mon = self.monitors.get_or_insert_with(peer, || PeerMonitor {
             det: PhiDetector::cassandra(interval),
             verdict: Liveness::Alive,
         });
@@ -80,7 +81,7 @@ impl FailureDetector {
     /// returned and each conviction counts as one flap.
     pub fn interpret_all(&mut self, now: SimTime) -> Vec<Peer> {
         let mut newly_dead = Vec::new();
-        for (&peer, mon) in self.monitors.iter_mut() {
+        for (peer, mon) in self.monitors.iter_mut() {
             if mon.verdict == Liveness::Alive && mon.det.phi(now) > self.threshold {
                 mon.verdict = Liveness::Dead;
                 self.flaps += 1;
@@ -95,7 +96,7 @@ impl FailureDetector {
 
     /// Current verdict for `peer` (peers never reported are unknown).
     pub fn liveness(&self, peer: Peer) -> Option<Liveness> {
-        self.monitors.get(&peer).map(|m| m.verdict)
+        self.monitors.get(peer).map(|m| m.verdict)
     }
 
     /// Peers currently considered dead.
@@ -103,7 +104,7 @@ impl FailureDetector {
         self.monitors
             .iter()
             .filter(|(_, m)| m.verdict == Liveness::Dead)
-            .map(|(&p, _)| p)
+            .map(|(p, _)| p)
             .collect()
     }
 
@@ -132,7 +133,7 @@ impl FailureDetector {
     /// (e.g. the local clock stepped: any conviction we issue is the
     /// fault's doing).
     pub fn mark_all_fault_suspects(&mut self) {
-        self.fault_suspects.extend(self.monitors.keys().copied());
+        self.fault_suspects.extend(self.monitors.keys());
     }
 
     /// Flaps whose convicted peer was a fault suspect at conviction
@@ -151,13 +152,13 @@ impl FailureDetector {
 
     /// The φ suspicion for `peer`, if monitored.
     pub fn phi(&self, peer: Peer, now: SimTime) -> Option<f64> {
-        self.monitors.get(&peer).map(|m| m.det.phi(now))
+        self.monitors.get(peer).map(|m| m.det.phi(now))
     }
 
     /// Stops monitoring `peer` (it departed cleanly; silence is expected
     /// and must not count as a flap).
     pub fn forget(&mut self, peer: Peer) {
-        self.monitors.remove(&peer);
+        self.monitors.remove(peer);
     }
 
     /// Number of monitored peers.

@@ -9,7 +9,9 @@
 //! * the φ accrual failure detector ([`PhiDetector`]);
 //! * per-node conviction state and flap accounting
 //!   ([`FailureDetector`]) — a *flap* is one node marking a live peer
-//!   down, the metric plotted in the paper's Figure 3.
+//!   down, the metric plotted in the paper's Figure 3;
+//! * the dense per-peer table both of those are built on
+//!   ([`PeerMap`]).
 //!
 //! The gossiper is generic over the application payload `A`; the cluster
 //! crate instantiates it with ring status (tokens + lifecycle), making
@@ -21,10 +23,12 @@
 
 pub mod failure;
 pub mod gossiper;
+pub mod peermap;
 pub mod phi;
 pub mod state;
 
 pub use failure::{FailureDetector, Liveness};
 pub use gossiper::{Ack, Ack2, ApplyOutcome, Gossiper, Syn};
+pub use peermap::PeerMap;
 pub use phi::PhiDetector;
 pub use state::{Delta, Digest, EndpointMap, EndpointState, HeartbeatState, Peer};

@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 /// window stores intervals as **integer nanoseconds** and the running
 /// sum is a `u128`: integer addition is exact and associative, the
 /// incremental sum equals a from-scratch re-sum bit-for-bit, and both
-/// paths share the single final float conversion in `mean_interval`.
+/// paths share the single final float conversion in `mean_of`.
 /// The differential proptest in `tests/proptests.rs` pins this
 /// equivalence (exact `f64::to_bits` equality against
 /// [`PhiDetector::mean_interval_naive`]).
@@ -44,6 +44,10 @@ pub struct PhiDetector {
     window: VecDeque<u64>,
     /// Exact sum of `window` in nanoseconds, maintained incrementally.
     window_sum_ns: u128,
+    /// [`Self::mean_interval`], recomputed whenever `window` changes:
+    /// φ sweeps read it once per peer per tick, far more often than
+    /// heartbeats move it.
+    mean_s: f64,
     window_cap: usize,
     last_arrival: Option<SimTime>,
     mean_floor_s: f64,
@@ -55,7 +59,10 @@ impl PhiDetector {
     /// Creates a detector.
     ///
     /// * `window_cap` — how many inter-arrival samples to keep
-    ///   (Cassandra keeps 1000).
+    ///   (Cassandra keeps 1000). The window starts empty and grows on
+    ///   demand up to the cap: every (node, peer) pair owns one
+    ///   detector, and preallocating the full window cost 8 KiB per
+    ///   pair before the first heartbeat arrived.
     /// * `initial_mean` — assumed inter-arrival before enough samples
     ///   exist (use the gossip interval).
     /// * `mean_floor` — lower clamp on the estimated mean, preventing a
@@ -71,8 +78,9 @@ impl PhiDetector {
         max_interval: SimDuration,
     ) -> Self {
         PhiDetector {
-            window: VecDeque::with_capacity(window_cap.min(4096)),
+            window: VecDeque::new(),
             window_sum_ns: 0,
+            mean_s: initial_mean.as_secs_f64().max(mean_floor.as_secs_f64()),
             window_cap: window_cap.max(1),
             last_arrival: None,
             mean_floor_s: mean_floor.as_secs_f64(),
@@ -115,21 +123,19 @@ impl PhiDetector {
                     }
                     self.window.push_back(interval_ns);
                     self.window_sum_ns += u128::from(interval_ns);
+                    self.mean_s =
+                        Self::mean_of(self.window_sum_ns, self.window.len()).max(self.mean_floor_s);
                 }
                 self.last_arrival = Some(now);
             }
         }
     }
 
-    /// Estimated mean inter-arrival, clamped to the floor. O(1): reads
-    /// the running nanosecond sum maintained by [`Self::heartbeat`].
+    /// Estimated mean inter-arrival, clamped to the floor. O(1):
+    /// [`Self::heartbeat`] derives it from the running nanosecond sum
+    /// each time the window changes.
     pub fn mean_interval(&self) -> f64 {
-        let mean = if self.window.is_empty() {
-            self.initial_mean_s
-        } else {
-            Self::mean_of(self.window_sum_ns, self.window.len())
-        };
-        mean.max(self.mean_floor_s)
+        self.mean_s
     }
 
     /// Reference implementation of [`Self::mean_interval`] that re-sums

@@ -5,10 +5,11 @@
 //! its application state. Peers compare `(generation, max_version)` pairs
 //! to decide who has fresher information.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
+
+use crate::peermap::PeerMap;
 
 /// Identifies a gossip participant.
 #[derive(
@@ -124,8 +125,9 @@ pub struct Digest {
     pub max_version: u64,
 }
 
-/// A node's full gossip view: one [`EndpointState`] per known peer.
-pub type EndpointMap<A> = BTreeMap<Peer, EndpointState<A>>;
+/// A node's full gossip view: one [`EndpointState`] per known peer,
+/// stored densely by peer id and iterated in ascending peer order.
+pub type EndpointMap<A> = PeerMap<EndpointState<A>>;
 
 #[cfg(test)]
 mod tests {

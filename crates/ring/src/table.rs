@@ -130,11 +130,76 @@ impl Deserialize for TokenMapCache {
     }
 }
 
+fn is_transitional(status: NodeStatus) -> bool {
+    matches!(status, NodeStatus::Joining | NodeStatus::Leaving)
+}
+
+/// The node table plus how many of its entries are Joining or Leaving.
+///
+/// Cassandra's pending-range window is open while that count is
+/// nonzero, and the runner asks on every applied gossip message; the
+/// count answers in O(1) where a scan of the table was O(N). Every
+/// mutation goes through [`NodeTable::insert`], [`NodeTable::remove`]
+/// or [`NodeTable::set_status`], which keep it exact.
+///
+/// The count is derived state, like [`TokenMapCache`]: the serialized
+/// form is the bare node map (byte-identical to before the count
+/// existed), deserialization recounts, and `write_canonical` never
+/// reads it.
+#[derive(Clone, Debug, Default)]
+struct NodeTable {
+    map: BTreeMap<NodeId, NodeState>,
+    transitional: usize,
+}
+
+impl NodeTable {
+    fn from_map(map: BTreeMap<NodeId, NodeState>) -> Self {
+        let transitional = map.values().filter(|s| is_transitional(s.status)).count();
+        NodeTable { map, transitional }
+    }
+
+    fn insert(&mut self, node: NodeId, st: NodeState) {
+        self.transitional += usize::from(is_transitional(st.status));
+        if let Some(old) = self.map.insert(node, st) {
+            self.transitional -= usize::from(is_transitional(old.status));
+        }
+    }
+
+    fn remove(&mut self, node: NodeId) -> Option<NodeState> {
+        let old = self.map.remove(&node)?;
+        self.transitional -= usize::from(is_transitional(old.status));
+        Some(old)
+    }
+
+    /// Returns `false` when `node` is absent.
+    fn set_status(&mut self, node: NodeId, status: NodeStatus) -> bool {
+        let Some(st) = self.map.get_mut(&node) else {
+            return false;
+        };
+        self.transitional -= usize::from(is_transitional(st.status));
+        self.transitional += usize::from(is_transitional(status));
+        st.status = status;
+        true
+    }
+}
+
+impl Serialize for NodeTable {
+    fn serialize(&self) -> serde::Value {
+        self.map.serialize()
+    }
+}
+
+impl Deserialize for NodeTable {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::Error> {
+        BTreeMap::deserialize(v).map(NodeTable::from_map)
+    }
+}
+
 /// The cluster's view of token ownership.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RingTable {
     rf: usize,
-    nodes: BTreeMap<NodeId, NodeState>,
+    nodes: NodeTable,
     token_map: TokenMapCache,
 }
 
@@ -148,7 +213,7 @@ impl RingTable {
         assert!(rf > 0, "replication factor must be positive");
         RingTable {
             rf,
-            nodes: BTreeMap::new(),
+            nodes: NodeTable::default(),
             token_map: TokenMapCache::default(),
         }
     }
@@ -165,7 +230,7 @@ impl RingTable {
         status: NodeStatus,
         mut tokens: Vec<Token>,
     ) -> Result<(), RingError> {
-        if self.nodes.contains_key(&node) {
+        if self.nodes.map.contains_key(&node) {
             return Err(RingError::DuplicateNode(node));
         }
         tokens.sort_unstable();
@@ -182,19 +247,16 @@ impl RingTable {
 
     /// Changes a node's status.
     pub fn set_status(&mut self, node: NodeId, status: NodeStatus) -> Result<(), RingError> {
-        match self.nodes.get_mut(&node) {
-            Some(st) => {
-                st.status = status;
-                self.token_map = TokenMapCache::default();
-                Ok(())
-            }
-            None => Err(RingError::UnknownNode(node)),
+        if !self.nodes.set_status(node, status) {
+            return Err(RingError::UnknownNode(node));
         }
+        self.token_map = TokenMapCache::default();
+        Ok(())
     }
 
     /// Removes a node entirely.
     pub fn remove_node(&mut self, node: NodeId) -> Result<(), RingError> {
-        match self.nodes.remove(&node) {
+        match self.nodes.remove(node) {
             Some(_) => {
                 self.token_map = TokenMapCache::default();
                 Ok(())
@@ -205,25 +267,33 @@ impl RingTable {
 
     /// A node's state, if present.
     pub fn node(&self, node: NodeId) -> Option<&NodeState> {
-        self.nodes.get(&node)
+        self.nodes.map.get(&node)
     }
 
     /// Number of nodes in any status except `Left`.
     pub fn member_count(&self) -> usize {
         self.nodes
+            .map
             .values()
             .filter(|s| s.status != NodeStatus::Left)
             .count()
     }
 
+    /// Number of nodes in `Joining` or `Leaving` status: the topology
+    /// changes outstanding in this view. O(1), maintained by every
+    /// mutation.
+    pub fn transitional_count(&self) -> usize {
+        self.nodes.transitional
+    }
+
     /// Iterates over `(node, state)` in node-id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &NodeState)> {
-        self.nodes.iter().map(|(&id, st)| (id, st))
+        self.nodes.map.iter().map(|(&id, st)| (id, st))
     }
 
     /// Which node currently owns a token, if any.
     pub fn owner_of_token(&self, t: Token) -> Option<NodeId> {
-        for (&id, st) in &self.nodes {
+        for (&id, st) in &self.nodes.map {
             if st.tokens.binary_search(&t).is_ok() {
                 return Some(id);
             }
@@ -254,6 +324,7 @@ impl RingTable {
     pub fn rebuild_current_token_map(&self) -> Vec<(Token, NodeId)> {
         let mut map: Vec<(Token, NodeId)> = self
             .nodes
+            .map
             .iter()
             .filter(|(_, st)| matches!(st.status, NodeStatus::Normal | NodeStatus::Leaving))
             .flat_map(|(&id, st)| st.tokens.iter().map(move |&t| (t, id)))
@@ -330,8 +401,8 @@ impl RingTable {
     /// insertion order because the underlying maps are ordered.
     pub fn write_canonical(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&(self.rf as u64).to_le_bytes());
-        out.extend_from_slice(&(self.nodes.len() as u64).to_le_bytes());
-        for (id, st) in &self.nodes {
+        out.extend_from_slice(&(self.nodes.map.len() as u64).to_le_bytes());
+        for (id, st) in &self.nodes.map {
             out.extend_from_slice(&id.0.to_le_bytes());
             out.push(match st.status {
                 NodeStatus::Normal => 0,
@@ -545,6 +616,28 @@ mod tests {
         assert_eq!(*snap.current_token_map(), snap.rebuild_current_token_map());
         assert_eq!(*r.current_token_map(), r.rebuild_current_token_map());
         assert_ne!(*snap.current_token_map(), *r.current_token_map());
+    }
+
+    #[test]
+    fn transitional_count_tracks_mutations_and_survives_serde() {
+        let mut r = ring_of(4, 4);
+        assert_eq!(r.transitional_count(), 0);
+        r.set_status(NodeId(1), NodeStatus::Leaving).unwrap();
+        r.add_node(NodeId(9), NodeStatus::Joining, vec![Token(3)])
+            .unwrap();
+        assert_eq!(r.transitional_count(), 2);
+        r.set_status(NodeId(1), NodeStatus::Joining).unwrap();
+        assert_eq!(r.transitional_count(), 2);
+        r.set_status(NodeId(9), NodeStatus::Normal).unwrap();
+        r.remove_node(NodeId(1)).unwrap();
+        assert_eq!(r.transitional_count(), 0);
+        r.set_status(NodeId(2), NodeStatus::Leaving).unwrap();
+        let back = RingTable::deserialize(&r.serialize()).unwrap();
+        assert_eq!(back.transitional_count(), 1, "deserialization recounts");
+        let (mut ba, mut bb) = (Vec::new(), Vec::new());
+        r.write_canonical(&mut ba);
+        back.write_canonical(&mut bb);
+        assert_eq!(ba, bb);
     }
 
     #[test]

@@ -17,6 +17,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "=== cargo build --release (workspace) ==="
 cargo build --release --workspace
 
+# The benchmark package sets an empty [workspace], so the workspace
+# build above never compiles it; its probes call the gossip, ring and
+# calc APIs directly and must keep building against them.
+echo "=== cargo build --release (scalebench) ==="
+cargo build --release --offline --manifest-path scalebench/Cargo.toml
+
 echo "=== cargo test (root package) ==="
 cargo test -q
 
@@ -80,7 +86,7 @@ cargo test -q --test proptests steady_state_periodic_timers_run_allocation_free
 # Scale smoke: the harness must stay fast enough to reach the scales
 # the paper argues for. One 1024-node SC+PIL cell runs cache-free and
 # must finish inside the wall budget (sized for a single-CPU worker),
-# and its row must satisfy the bench_scale/v1 schema. Full trajectory
+# and its row must satisfy the bench_scale/v2 schema. Full trajectory
 # numbers come from scripts/run_experiments.sh --scale (see
 # EXPERIMENTS.md, "Scaling beyond the paper").
 echo "=== scale smoke (tbl_scale --smoke, 1024-node SC+PIL) ==="
@@ -125,5 +131,7 @@ echo "=== optimized-vs-naive differential properties ==="
 cargo test -q --test proptests phi_running_sum_matches_naive_resum
 cargo test -q --test proptests token_map_cache_is_transparent
 cargo test -q --test proptests link_fifo_clocks_match_a_sparse_model
+cargo test -q --test proptests peer_map_matches_a_btreemap_oracle
+cargo test -q --test proptests ring_transitional_count_matches_a_full_scan
 
 echo "ci green"

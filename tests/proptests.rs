@@ -584,6 +584,83 @@ proptest! {
         }
     }
 
+    /// Differential: the dense peer map behaves exactly like the
+    /// `BTreeMap<Peer, _>` it replaced — same return values from every
+    /// insert/remove/get, and the same contents in the same (ascending)
+    /// iteration order after each step. Gossip digest order, gossip
+    /// target selection and conviction order all ride on that order.
+    #[test]
+    fn peer_map_matches_a_btreemap_oracle(
+        ops in prop::collection::vec((0u8..4, 0u32..64, any::<u32>()), 0..200),
+    ) {
+        use scalecheck_gossip::{Peer, PeerMap};
+        use std::collections::BTreeMap;
+        let mut dense: PeerMap<u32> = PeerMap::new();
+        let mut oracle: BTreeMap<Peer, u32> = BTreeMap::new();
+        for (kind, id, value) in ops {
+            let peer = Peer(id);
+            match kind {
+                0 => prop_assert_eq!(dense.insert(peer, value), oracle.insert(peer, value)),
+                1 => prop_assert_eq!(dense.remove(peer), oracle.remove(&peer)),
+                2 => {
+                    let got = *dense.get_or_insert_with(peer, || value);
+                    prop_assert_eq!(got, *oracle.entry(peer).or_insert(value));
+                }
+                _ => {
+                    if let Some(v) = dense.get_mut(peer) {
+                        *v = v.wrapping_add(value);
+                    }
+                    if let Some(v) = oracle.get_mut(&peer) {
+                        *v = v.wrapping_add(value);
+                    }
+                }
+            }
+            prop_assert_eq!(dense.get(peer), oracle.get(&peer));
+            prop_assert_eq!(dense.contains_key(peer), oracle.contains_key(&peer));
+            prop_assert_eq!(dense.len(), oracle.len());
+            let walked: Vec<(Peer, u32)> = dense.iter().map(|(p, &v)| (p, v)).collect();
+            let expected: Vec<(Peer, u32)> = oracle.iter().map(|(&p, &v)| (p, v)).collect();
+            prop_assert_eq!(walked, expected);
+        }
+    }
+
+    /// Differential: the ring's O(1) Joining/Leaving count equals a full
+    /// scan of the node table after any sequence of adds, status
+    /// changes and removals, including failed ones (duplicate node,
+    /// duplicate token, unknown node) that must leave it untouched.
+    #[test]
+    fn ring_transitional_count_matches_a_full_scan(
+        ops in prop::collection::vec((0u8..3, 0u32..16, 0u8..4, 0u64..32), 0..64),
+    ) {
+        let statuses = [
+            NodeStatus::Normal,
+            NodeStatus::Joining,
+            NodeStatus::Leaving,
+            NodeStatus::Left,
+        ];
+        let mut ring = RingTable::new(3);
+        for (kind, id, status, tok) in ops {
+            let (node, status) = (NodeId(id), statuses[status as usize]);
+            match kind {
+                0 => {
+                    let _ = ring.add_node(node, status, vec![Token(tok)]);
+                }
+                1 => {
+                    let _ = ring.set_status(node, status);
+                }
+                _ => {
+                    let _ = ring.remove_node(node);
+                }
+            }
+            let scanned = ring
+                .iter()
+                .filter(|(_, st)| matches!(st.status, NodeStatus::Joining | NodeStatus::Leaving))
+                .count();
+            prop_assert_eq!(ring.transitional_count(), scanned);
+            prop_assert_eq!(ring.clone().transitional_count(), scanned);
+        }
+    }
+
     /// Differential: the tiled per-link FIFO clock store behaves exactly
     /// like a sparse `BTreeMap<(src, dst), clock>` model. Constant
     /// latency plus zero loss makes delivery times fully deterministic,
